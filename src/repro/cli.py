@@ -33,6 +33,7 @@ tracking how fast the simulator itself runs on the host.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -912,10 +913,15 @@ def run_bench_cli(
 
     ``profile=True`` additionally runs every benchmark under ``cProfile``
     and drops ``PROFILE_<bench>.pstats`` files next to the report (see
-    docs/PERF.md, "Profiling a benchmark").
+    docs/PERF.md, "Profiling a benchmark").  ``out_dir`` is created up
+    front, so a bad path fails before any benchmark runs.
     """
     from .harness import bench
 
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        print(f"--bench-out {out_dir}: not a directory", file=sys.stderr)
+        return 2
+    os.makedirs(out_dir, exist_ok=True)
     names = None
     if only:
         names = [item.strip() for item in only.split(",") if item.strip()]

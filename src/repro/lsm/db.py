@@ -22,7 +22,6 @@ files' Bloom filters) before the file (§III-B.3).
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .builder import SSTableBuilder
@@ -92,7 +91,7 @@ class DB:
         enables the flash/FTL layer (``DeviceConfig(flash=FlashSpec())``,
         docs/DEVICE.md), off by default.
     seed:
-        Seed for the memtable skip list's height RNG.
+        Seed handed to the memtable (which is deterministic and ignores it).
     tracer:
         Event tracer receiving the engine's execution timeline (flushes,
         compaction rounds, links/merges, stalls, cache probes, device
@@ -165,18 +164,6 @@ class DB:
         # Stall triggers, cached: _maybe_stall runs before every write.
         self._l0_stop = self.config.l0_stop_trigger
         self._l0_slowdown = self.config.l0_slowdown_trigger
-        # Fused user-read charging (see _charge_point_read): only the
-        # plain simulated device has a closed-form cost with no fault
-        # hooks; anything else keeps the full device.read call.
-        if type(self.device) is SimulatedSSD:
-            device_profile = self.device.profile
-            self._read_overhead = device_profile.read_overhead_us
-            self._read_per_byte = device_profile.read_us_per_byte
-            self._user_read_stats = self.device.stats._stream(
-                self.device.stats.reads, "read", USER_READ
-            )
-        else:
-            self._user_read_stats = None
         self.policy.attach(self)
         #: Virtual-time background compaction (repro.sched); None keeps
         #: the historical synchronous engine with bit-identical timing.
@@ -235,21 +222,6 @@ class DB:
         between two captures without resetting anything.
         """
         return MetricsSnapshot.capture(self.registry, t_us=self.clock.now())
-
-    @property
-    def stats(self) -> EngineStats:
-        """Deprecated alias for :attr:`engine_stats`.
-
-        Prefer :meth:`metrics` for measurements or :attr:`engine_stats`
-        for the live engine-counter view.
-        """
-        warnings.warn(
-            "DB.stats is deprecated; use DB.metrics() for a unified "
-            "snapshot or DB.engine_stats for the live view",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine_stats
 
     # ------------------------------------------------------------------
     # Write path
@@ -707,24 +679,11 @@ class DB:
                 EV_CACHE_MISS, file_id=table.file_id, block=block_index,
                 nbytes=nbytes,
             )
-        stats = self._user_read_stats
-        device = self.device
-        if (
-            stats is not None
-            and device.channel is None
-            and not device.tracer.active
-        ):
-            # Fused plain-device block read: identical charge expression
-            # and counter updates to SimulatedSSD.read, one call deep.
-            elapsed = self._read_overhead + nbytes * self._read_per_byte
-            self.clock.advance_io(elapsed, nbytes)
-            stats.record(nbytes, elapsed)
-        else:
-            device.read(nbytes, USER_READ)
-            if self._faulty:
-                # Verify before the cache insert so a corrupt block is
-                # never served from memory later.
-                self._verify_block_read(table, (block_index,))
+        self.device.read(nbytes, USER_READ)
+        if self._faulty:
+            # Verify before the cache insert so a corrupt block is never
+            # served from memory later.
+            self._verify_block_read(table, (block_index,))
         counters = self._counters
         counters["engine.sstable_blocks_read"] = (
             counters.get("engine.sstable_blocks_read", 0) + 1
@@ -995,10 +954,9 @@ class DB:
                 if piece.source.max_seq > max_seq:
                     max_seq = piece.source.max_seq
         if records:
-            # Replaying one-at-a-time re-searches the skip list per record;
-            # instead sort by (key, seq), keep the newest version per key
-            # (exactly what per-record add() would have retained) and
-            # bulk-load the survivors at the skip-list tail.
+            # Sort by (key, seq), keep the newest version per key (exactly
+            # what per-record add() would have retained) and bulk-load the
+            # survivors in one sorted batch.
             ordered = sorted(records, key=lambda record: (record.key, record.seq))
             newest = [
                 record

@@ -8,10 +8,9 @@ reads), so overwriting in place is both correct and fast.
 
 Storage layout
 --------------
-Earlier versions indexed records with a skip list (`repro.lsm.skiplist`,
-still shipped for the crash-recovery tooling and its own tests).  A skip
-list pays per-node object and pointer overhead on every insert to keep the
-keys *always* sorted — but this engine only needs sorted order at flush,
+Earlier versions indexed records with a skip list, which pays per-node
+object and pointer overhead on every insert to keep the keys *always*
+sorted — but this engine only needs sorted order at flush,
 scan and recovery time, never on the put/get fast path.  The buffer is
 therefore array-backed: a hash index (``dict``) from key to the newest
 record, plus a sorted key array rebuilt lazily.  Inserts are amortised
@@ -36,9 +35,9 @@ from .record import KVRecord, RECORD_OVERHEAD_BYTES
 class MemTable:
     """Sorted in-memory buffer of the newest record per key.
 
-    ``seed`` is accepted for compatibility with the skip-list-backed
-    implementation (which randomised node heights); the array-backed
-    buffer is deterministic and ignores it.
+    ``seed`` is accepted for compatibility with the earlier skip-list
+    index (which randomised node heights); the array-backed buffer is
+    deterministic and ignores it.
     """
 
     __slots__ = ("_records", "_keys", "_dirty", "_bytes")

@@ -22,7 +22,7 @@ trace event.
 
 from __future__ import annotations
 
-import warnings
+from typing import NoReturn
 
 from .clock import DeviceChannel, SimClock
 from .flash import GC_WRITE, DeviceConfig, FlashSpec, FlashTranslationLayer
@@ -32,6 +32,10 @@ from ..errors import DeviceError
 from ..obs.events import EV_DEVICE_READ, EV_DEVICE_WRITE
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import Tracer
+
+
+def _reject_size(nbytes: int) -> NoReturn:
+    raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
 
 
 class SimulatedSSD:
@@ -81,6 +85,15 @@ class SimulatedSSD:
                 flash = profile.flash
             profile = profile.profile
         self.profile = profile
+        # Per-direction cost terms, fixed with the (frozen) profile: every
+        # charge and cost query is one multiply-add over these.
+        discount = profile.sequential_discount
+        self._read_overhead = profile.read_overhead_us
+        self._read_seq_overhead = profile.read_overhead_us * discount
+        self._read_per_byte = profile.read_us_per_byte
+        self._write_overhead = profile.write_overhead_us
+        self._write_seq_overhead = profile.write_overhead_us * discount
+        self._write_per_byte = profile.write_us_per_byte
         self.clock = clock if clock is not None else SimClock()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.stats = IOStats(registry=self.registry)
@@ -95,28 +108,31 @@ class SimulatedSSD:
         #: nothing else competes for the device and arbitration is skipped
         #: entirely, keeping the scheduler-off timing bit-identical.
         self.channel: DeviceChannel | None = None
+        # Category -> registry view, the per-charge counter lookup.
+        self._reads = self.stats.reads
+        self._writes = self.stats.writes
 
     # ------------------------------------------------------------------
     # Cost queries (no side effects) — used by planners and the model layer.
     # ------------------------------------------------------------------
     def read_cost_us(self, nbytes: int, *, sequential: bool = False) -> float:
         """Service time of a read request without performing it."""
-        self._check_size(nbytes)
-        overhead = self.profile.read_overhead_us
-        if sequential:
-            overhead *= self.profile.sequential_discount
-        return overhead + nbytes * self.profile.read_us_per_byte
+        if nbytes < 0:
+            _reject_size(nbytes)
+        overhead = self._read_seq_overhead if sequential else self._read_overhead
+        return overhead + nbytes * self._read_per_byte
 
     def write_cost_us(self, nbytes: int, *, sequential: bool = False) -> float:
         """Service time of a write request without performing it."""
-        self._check_size(nbytes)
-        overhead = self.profile.write_overhead_us
-        if sequential:
-            overhead *= self.profile.sequential_discount
-        return overhead + nbytes * self.profile.write_us_per_byte
+        if nbytes < 0:
+            _reject_size(nbytes)
+        overhead = self._write_seq_overhead if sequential else self._write_overhead
+        return overhead + nbytes * self._write_per_byte
 
     # ------------------------------------------------------------------
     # Charged operations — advance the clock and update statistics.
+    # Every charged I/O of the engine passes through one of these three
+    # methods (directly or via FaultyDevice, which forwards to them).
     # ------------------------------------------------------------------
     def read(self, nbytes: int, category: str, *, sequential: bool = False) -> float:
         """Charge a read of ``nbytes`` to ``category``; return elapsed µs.
@@ -129,9 +145,18 @@ class SimulatedSSD:
         diverted (the scheduler replays it later), so no arbitration
         happens here.
         """
-        elapsed = self.read_cost_us(nbytes, sequential=sequential)
-        self._charge(elapsed, nbytes)
-        self.stats.record_read(category, nbytes, elapsed)
+        if nbytes < 0:
+            _reject_size(nbytes)
+        overhead = self._read_seq_overhead if sequential else self._read_overhead
+        elapsed = overhead + nbytes * self._read_per_byte
+        if self.channel is None:
+            self.clock.advance_io(elapsed, nbytes)
+        else:
+            self._arbitrate(elapsed, nbytes)
+        view = self._reads.get(category)
+        if view is None:
+            view = self.stats._stream(self._reads, "read", category)
+        view.record(nbytes, elapsed)
         if self.tracer.active:
             self.tracer.emit(
                 EV_DEVICE_READ,
@@ -163,12 +188,21 @@ class SimulatedSSD:
         relocation writes (category ``gc_write``) skip the mapping step
         — the FTL programs those pages itself.
         """
-        elapsed = self.write_cost_us(nbytes, sequential=sequential)
+        if nbytes < 0:
+            _reject_size(nbytes)
+        overhead = self._write_seq_overhead if sequential else self._write_overhead
+        elapsed = overhead + nbytes * self._write_per_byte
         flash = self.flash
         if flash is not None and category != GC_WRITE:
             flash.host_write(nbytes, category, owner=owner, stream=stream)
-        self._charge(elapsed, nbytes)
-        self.stats.record_write(category, nbytes, elapsed)
+        if self.channel is None:
+            self.clock.advance_io(elapsed, nbytes)
+        else:
+            self._arbitrate(elapsed, nbytes)
+        view = self._writes.get(category)
+        if view is None:
+            view = self.stats._stream(self._writes, "write", category)
+        view.record(nbytes, elapsed)
         if self.tracer.active:
             self.tracer.emit(
                 EV_DEVICE_WRITE,
@@ -196,17 +230,14 @@ class SimulatedSSD:
         (:meth:`~repro.ssd.metrics.IOStats.record_read_many`) instead of
         three dict round-trips per run.
         """
-        profile = self.profile
-        overhead = profile.read_overhead_us
-        if sequential:
-            overhead *= profile.sequential_discount
-        per_byte = profile.read_us_per_byte
-        charge = self._charge
+        overhead = self._read_seq_overhead if sequential else self._read_overhead
+        per_byte = self._read_per_byte
+        charge = self.clock.advance_io if self.channel is None else self._arbitrate
         elapsed_runs: "list[float]" = []
         push = elapsed_runs.append
         for nbytes in run_sizes:
             if nbytes < 0:
-                raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
+                _reject_size(nbytes)
             elapsed = overhead + nbytes * per_byte
             charge(elapsed, nbytes)
             push(elapsed)
@@ -222,24 +253,24 @@ class SimulatedSSD:
                 )
         return sum(elapsed_runs)
 
-    def _charge(self, elapsed: float, nbytes: int) -> None:
-        """Advance the clock for one transfer, arbitrating when needed.
+    def _arbitrate(self, elapsed: float, nbytes: int) -> None:
+        """Advance the clock for one transfer through the device channel.
 
-        The common (scheduler-off) case is a single ``advance_io`` call,
-        identical in effect to the plain ``advance`` it replaces.
+        Outside a clock capture the request waits out the channel's busy
+        horizon, then occupies the device; during a capture the charge is
+        diverted like any other (the scheduler replays it later).
         """
         clock = self.clock
-        channel = self.channel
-        if channel is not None and not clock.capturing:
-            wait = channel.busy_until_us - clock.now()
-            if wait > 0:
-                clock.advance(wait)
-                self.registry.add("sched.device_wait_us", wait)
-                self.registry.add("sched.device_waits", 1)
-            clock.advance(elapsed)
-            channel.occupy_until(clock.now())
-        else:
+        if clock.capturing:
             clock.advance_io(elapsed, nbytes)
+            return
+        wait = self.channel.busy_until_us - clock.now()
+        if wait > 0:
+            clock.advance(wait)
+            self.registry.add("sched.device_wait_us", wait)
+            self.registry.add("sched.device_waits", 1)
+        clock.advance(elapsed)
+        self.channel.occupy_until(clock.now())
 
     def trim(self, owner) -> None:
         """Invalidate every flash page tagged with ``owner``.
@@ -269,21 +300,6 @@ class SimulatedSSD:
 
     # ------------------------------------------------------------------
     @property
-    def metrics(self) -> IOStats:
-        """Deprecated alias for :attr:`stats`.
-
-        The unified entry point is ``db.metrics()``; for a live device view
-        use :attr:`stats`.
-        """
-        warnings.warn(
-            "SimulatedSSD.metrics is deprecated; use SimulatedSSD.stats "
-            "for a live view or db.metrics() for a unified snapshot",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stats
-
-    @property
     def wear_bytes(self) -> int:
         """Total bytes physically written to flash (endurance proxy).
 
@@ -295,11 +311,6 @@ class SimulatedSSD:
         if self.flash is not None:
             return self.flash.bytes_programmed
         return self.stats.total_bytes_written
-
-    @staticmethod
-    def _check_size(nbytes: int) -> None:
-        if nbytes < 0:
-            raise DeviceError(f"I/O size must be non-negative, got {nbytes}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimulatedSSD(profile={self.profile.name!r}, t={self.clock.now():.1f}us)"

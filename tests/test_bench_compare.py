@@ -179,6 +179,26 @@ class TestUnknownBenchmark:
         assert "'nope'" in err
         assert "fillrandom" in err
 
+    def test_cli_creates_missing_bench_out(self, tmp_path) -> None:
+        out_dir = tmp_path / "new" / "reports"
+        assert main([
+            "bench", "--quick", "--only", "bloom_probe", "--bench-name", "t",
+            "--bench-out", str(out_dir),
+        ]) == 0
+        assert (out_dir / "BENCH_t.json").is_file()
+
+    def test_cli_bench_out_file_exits_two_before_running(
+        self, tmp_path, capsys
+    ) -> None:
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        assert main([
+            "bench", "--only", "bloom_probe", "--bench-out", str(not_a_dir),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "not a directory" in captured.err
+        assert "running" not in captured.out
+
 
 class TestBenchHistory:
     """``bench --history``: the perf-trajectory table over baselines."""

@@ -56,10 +56,17 @@ class TestCostModel:
 
     def test_negative_size_rejected(self):
         ssd = SimulatedSSD(SIMPLE)
-        with pytest.raises(DeviceError):
-            ssd.read(-1, USER_READ)
-        with pytest.raises(DeviceError):
-            ssd.write_cost_us(-5)
+        for charge in (
+            lambda: ssd.read(-1, USER_READ),
+            lambda: ssd.write(-1, FLUSH_WRITE),
+            lambda: ssd.read_runs([-1], COMPACTION_READ),
+            lambda: ssd.write_cost_us(-5),
+        ):
+            with pytest.raises(DeviceError):
+                charge()
+        # Rejected before any charge: no time, bytes or ops recorded.
+        assert ssd.clock.now() == 0.0
+        assert ssd.stats.snapshot() == {}
 
 
 class TestChargedOperations:
