@@ -5,10 +5,10 @@ The library provides:
 
 * :class:`~repro.lsm.db.DB` — a complete LSM-tree key-value store (the
   LevelDB-analogue substrate) running over a simulated SSD in virtual time;
-* :class:`~repro.core.ldc.LDCPolicy` — the paper's lower-level driven
-  compaction (link & merge), alongside the UDC baseline
-  (:class:`~repro.lsm.compaction.leveled.LeveledCompaction`) and a
-  size-tiered lazy baseline;
+* the compaction-policy registry (:mod:`repro.lsm.compaction.spec`) —
+  the paper's lower-level driven compaction (``"ldc"``, link & merge),
+  alongside the UDC baseline (``"udc"``) and size-tiered, delayed and
+  hybrid compositions;
 * :mod:`repro.workload` — a YCSB-like workload generator covering the
   paper's Table III workloads;
 * :mod:`repro.model` — the analytical performance model of §II–III;
@@ -43,8 +43,8 @@ The library provides:
 
 Quickstart
 ----------
->>> from repro import DB, LDCPolicy
->>> db = DB(policy=LDCPolicy())
+>>> from repro import DB
+>>> db = DB(policy="ldc")
 >>> db.put(b"user1", b"hello")
 >>> db.get(b"user1")
 b'hello'

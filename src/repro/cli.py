@@ -37,7 +37,7 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
-from .errors import UnknownBenchmarkError, UnknownPolicyError
+from .errors import ConfigError, ReproError
 from .harness import experiments
 from .harness.report import format_table, mib
 from .lsm.compaction.spec import resolve_factory
@@ -244,17 +244,22 @@ def _run_describe(ops: int, keys: int) -> None:
     print(db.describe())
 
 
-def _policy_factory(name: str) -> Optional[Callable[[], object]]:
-    """Resolve a registered policy name via the central registry.
+def _workload_factory(name: str):
+    """The Table III spec factory for ``name``; unknown names are typed errors."""
+    from .workload.spec import TABLE_III
 
-    Prints the typed error (which lists every valid name) and returns
-    ``None`` on a miss; callers turn that into exit status 2.
-    """
-    try:
-        return resolve_factory(name)
-    except UnknownPolicyError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
+    if name not in TABLE_III:
+        known = ", ".join(TABLE_III)
+        raise ConfigError(f"unknown workload {name!r}; known: {known}")
+    return TABLE_III[name]
+
+
+def _check_out_path(flag: str, path: str) -> None:
+    """Fail before any work when ``path``'s directory does not exist."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
+
 
 #: Per-I/O events are dropped from the trace by default — a traced run
 #: emits hundreds of device/cache events per compaction round, and the
@@ -275,17 +280,10 @@ def run_trace(
     Prints the per-kind event counts plus metrics-snapshot highlights;
     with ``trace_out`` the full timeline is also written as JSON-lines.
     """
-    from .workload.spec import TABLE_III
-
-    spec_factory = TABLE_III.get(workload)
-    if spec_factory is None:
-        known = ", ".join(TABLE_III)
-        print(f"unknown workload {workload!r}; known: {known}", file=sys.stderr)
-        return 2
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
-
+    spec_factory = _workload_factory(workload)
+    policy_factory = resolve_factory(policy)
+    if trace_out is not None:
+        _check_out_path("--trace-out", trace_out)
     spec = spec_factory(num_operations=ops, key_space=keys, preload_keys=keys)
     kinds = None
     if not include_io:
@@ -374,17 +372,9 @@ def run_sharded_cli(
     device/total write-amplification rows to the report.
     """
     from .shard.runner import run_sharded_workload
-    from .workload.spec import TABLE_III
 
-    workload = workload or "RWB"
-    spec_factory = TABLE_III.get(workload)
-    if spec_factory is None:
-        known = ", ".join(TABLE_III)
-        print(f"unknown workload {workload!r}; known: {known}", file=sys.stderr)
-        return 2
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
+    spec_factory = _workload_factory(workload or "RWB")
+    policy_factory = resolve_factory(policy)
     overrides: Dict[str, object] = {"bg_threads": bg_threads}
     if slowdown_l0 is not None:
         overrides["l0_slowdown_trigger"] = slowdown_l0
@@ -392,40 +382,36 @@ def run_sharded_cli(
         overrides["l0_stop_trigger"] = stop_l0
     spec = spec_factory(num_operations=ops, key_space=keys)
     profile: object = None
-    try:
-        if flash:
-            probe_space: Optional[int] = None
-            if flash_logical_mib is None:
-                probe = experiments.run_workload(
-                    spec,
-                    policy_factory,
-                    config=experiments.experiment_config(**overrides),
-                )
-                probe_space = probe.space_bytes
-            flash_spec = _build_flash_spec(
-                flash_op, flash_gc, flash_logical_mib, probe_space
+    if flash:
+        probe_space: Optional[int] = None
+        if flash_logical_mib is None:
+            probe = experiments.run_workload(
+                spec,
+                policy_factory,
+                config=experiments.experiment_config(**overrides),
             )
-            profile = DeviceConfig(flash=flash_spec)
-            print(
-                f"flash: {flash_spec.logical_bytes / 2**20:.1f} MiB logical "
-                f"per shard, OP={flash_spec.over_provisioning:.0%}, "
-                f"gc={flash_spec.gc_policy}"
-            )
-        kwargs: Dict[str, object] = {}
-        if profile is not None:
-            kwargs["profile"] = profile
-        report = run_sharded_workload(
-            spec,
-            policy_factory,
-            num_shards=shards,
-            partitioner=partitioner,
-            workers=workers,
-            config=experiments.experiment_config(**overrides),
-            **kwargs,
+            probe_space = probe.space_bytes
+        flash_spec = _build_flash_spec(
+            flash_op, flash_gc, flash_logical_mib, probe_space
         )
-    except Exception as exc:  # ConfigError: bad shard/partitioner/flash combo
-        print(str(exc), file=sys.stderr)
-        return 2
+        profile = DeviceConfig(flash=flash_spec)
+        print(
+            f"flash: {flash_spec.logical_bytes / 2**20:.1f} MiB logical "
+            f"per shard, OP={flash_spec.over_provisioning:.0%}, "
+            f"gc={flash_spec.gc_policy}"
+        )
+    kwargs: Dict[str, object] = {}
+    if profile is not None:
+        kwargs["profile"] = profile
+    report = run_sharded_workload(
+        spec,
+        policy_factory,
+        num_shards=shards,
+        partitioner=partitioner,
+        workers=workers,
+        config=experiments.experiment_config(**overrides),
+        **kwargs,
+    )
     print(
         f"run: workload={report.workload} policy={report.policy} "
         f"shards={report.num_shards} workers={report.workers} "
@@ -512,59 +498,47 @@ def run_serve_cli(
     service time and shows per-tenant SLO-violation rates.
     """
     from .serve import ServeSpec, run_sharded_serve, serve_workload
-    from .workload.spec import TABLE_III
 
-    workload = workload or "RWB"
-    spec_factory = TABLE_III.get(workload)
-    if spec_factory is None:
-        known = ", ".join(TABLE_III)
-        print(f"unknown workload {workload!r}; known: {known}", file=sys.stderr)
-        return 2
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
+    spec_factory = _workload_factory(workload or "RWB")
+    policy_factory = resolve_factory(policy)
     spec = spec_factory(num_operations=ops, key_space=keys)
     config = experiments.experiment_config(bg_threads=bg_threads)
-    try:
-        serve_spec = ServeSpec(
-            arrival=arrival,
-            rate_ops_s=rate,
-            num_tenants=tenants,
-            queue_depth=queue_depth,
-            discipline=discipline,
-            slo_us=slo_us,
-            seed=seed,
+    serve_spec = ServeSpec(
+        arrival=arrival,
+        rate_ops_s=rate,
+        num_tenants=tenants,
+        queue_depth=queue_depth,
+        discipline=discipline,
+        slo_us=slo_us,
+        seed=seed,
+    )
+    if shards > 1:
+        report = run_sharded_serve(
+            spec,
+            policy_factory,
+            serve_spec,
+            num_shards=shards,
+            partitioner=partitioner,
+            config=config,
         )
-        if shards > 1:
-            report = run_sharded_serve(
-                spec,
-                policy_factory,
-                serve_spec,
-                num_shards=shards,
-                partitioner=partitioner,
-                config=config,
-            )
-            print(
-                f"serve: workload={report.workload} policy={report.policy} "
-                f"arrival={arrival} shards={report.num_shards} "
-                f"partitioner={report.partitioner}"
-            )
-            highlights = [
-                ("offered rate ops/s", round(rate)),
-                ("arrived", report.arrived),
-                ("completed", report.completed),
-                ("rejected", report.rejected),
-                ("sim throughput ops/s", round(report.throughput_ops_s)),
-                ("SLO violation rate", round(report.slo_violation_rate, 4)),
-                ("wait p99 us", round(report.wait_latencies.percentile(99.0), 1)),
-                ("total p99.9 us", round(report.total_latencies.percentile(99.9), 1)),
-            ]
-            print(format_table(["metric", "value"], highlights, title="aggregate"))
-            return 0
-        result = serve_workload(spec, policy_factory, serve_spec, config=config)
-    except Exception as exc:  # ConfigError: bad arrival/discipline combo
-        print(str(exc), file=sys.stderr)
-        return 2
+        print(
+            f"serve: workload={report.workload} policy={report.policy} "
+            f"arrival={arrival} shards={report.num_shards} "
+            f"partitioner={report.partitioner}"
+        )
+        highlights = [
+            ("offered rate ops/s", round(rate)),
+            ("arrived", report.arrived),
+            ("completed", report.completed),
+            ("rejected", report.rejected),
+            ("sim throughput ops/s", round(report.throughput_ops_s)),
+            ("SLO violation rate", round(report.slo_violation_rate, 4)),
+            ("wait p99 us", round(report.wait_latencies.percentile(99.0), 1)),
+            ("total p99.9 us", round(report.total_latencies.percentile(99.9), 1)),
+        ]
+        print(format_table(["metric", "value"], highlights, title="aggregate"))
+        return 0
+    result = serve_workload(spec, policy_factory, serve_spec, config=config)
     print(
         f"serve: workload={result.workload} policy={result.policy} "
         f"arrival={result.arrival} queue_depth={result.queue_depth} "
@@ -638,9 +612,7 @@ def run_crashtest_cli(
     """
     from .faults import crashtest
 
-    policy_factory = _policy_factory(policy)
-    if policy_factory is None:
-        return 2
+    policy_factory = resolve_factory(policy)
 
     def progress(done: int, total: int) -> None:
         if done % 200 == 0 or done == total:
@@ -695,56 +667,47 @@ def run_explore_cli(
     ``flash=True`` mounts the same FTL geometry under every cell and adds
     device/total write-amplification columns plus a total-WA winner.
     """
-    from .errors import ConfigError
-    from .workload.spec import TABLE_III
-
+    if report_out is not None:
+        _check_out_path("--report-out", report_out)
     policy_names = None
     if policies:
         policy_names = [item.strip() for item in policies.split(",") if item.strip()]
         for name in policy_names:
-            if _policy_factory(name) is None:
-                return 2
+            resolve_factory(name)
     mix_names = list(experiments.DESIGN_SPACE_MIXES)
     if mixes:
         mix_names = [item.strip() for item in mixes.split(",") if item.strip()]
         for name in mix_names:
-            if name not in TABLE_III:
-                known = ", ".join(TABLE_III)
-                print(f"unknown workload {name!r}; known: {known}", file=sys.stderr)
-                return 2
+            _workload_factory(name)
     profile_names = list(experiments.DESIGN_SPACE_PROFILES)
     if profiles:
         profile_names = [item.strip() for item in profiles.split(",") if item.strip()]
-    try:
-        flash_spec = None
-        if flash:
-            probe_space: Optional[int] = None
-            if flash_logical_mib is None:
-                # One shared geometry for the whole sweep: size it from a
-                # flash-off probe of the first mix under UDC (the widest
-                # footprint spread is policy-side, which the margin covers).
-                probe = experiments.run_workload(
-                    experiments.workloads.TABLE_III[mix_names[0]](
-                        num_operations=ops, key_space=keys
-                    ),
-                    experiments.udc_factory,
-                    config=experiments.experiment_config(),
-                )
-                probe_space = probe.space_bytes
-            flash_spec = _build_flash_spec(
-                flash_op, flash_gc, flash_logical_mib, probe_space
+    flash_spec = None
+    if flash:
+        probe_space: Optional[int] = None
+        if flash_logical_mib is None:
+            # One shared geometry for the whole sweep: size it from a
+            # flash-off probe of the first mix under UDC (the widest
+            # footprint spread is policy-side, which the margin covers).
+            probe = experiments.run_workload(
+                experiments.workloads.TABLE_III[mix_names[0]](
+                    num_operations=ops, key_space=keys
+                ),
+                experiments.udc_factory,
+                config=experiments.experiment_config(),
             )
-        report = experiments.design_space(
-            policies=policy_names,
-            mixes=mix_names,
-            profiles=profile_names,
-            ops=ops,
-            key_space=keys,
-            flash=flash_spec,
+            probe_space = probe.space_bytes
+        flash_spec = _build_flash_spec(
+            flash_op, flash_gc, flash_logical_mib, probe_space
         )
-    except ConfigError as exc:  # unknown device profile
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = experiments.design_space(
+        policies=policy_names,
+        mixes=mix_names,
+        profiles=profile_names,
+        ops=ops,
+        key_space=keys,
+        flash=flash_spec,
+    )
     headers = [
         "policy",
         "workload",
@@ -815,18 +778,12 @@ def run_device_wa_cli(
     registered policy on it and prints host / device / total WA with the
     GC and wear counters (docs/DEVICE.md).
     """
-    from .errors import ConfigError
-
-    try:
-        report = experiments.fig_device_wa(
-            ops=ops,
-            key_space=keys,
-            over_provisioning=flash_op,
-            gc_policy=flash_gc,
-        )
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = experiments.fig_device_wa(
+        ops=ops,
+        key_space=keys,
+        over_provisioning=flash_op,
+        gc_policy=flash_gc,
+    )
     print(experiments.format_device_wa_report(report))
     return 0
 
@@ -925,16 +882,12 @@ def run_bench_cli(
     names = None
     if only:
         names = [item.strip() for item in only.split(",") if item.strip()]
-    try:
-        results = bench.run_bench(
-            names=names,
-            quick=quick,
-            progress=lambda n: print(f"running {n} ..."),
-            profile_dir=out_dir if profile else None,
-        )
-    except UnknownBenchmarkError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    results = bench.run_bench(
+        names=names,
+        quick=quick,
+        progress=lambda n: print(f"running {n} ..."),
+        profile_dir=out_dir if profile else None,
+    )
     rows = [
         (
             result.name,
@@ -1255,8 +1208,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Bad input surfaces as a typed :class:`~repro.errors.ReproError`: its
+    message goes to stderr and the exit status is 2.  Anything else is a
+    fault in the program and keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments to the chosen command."""
     if args.experiment == "crashtest":
         ops = args.ops if args.ops is not None else 2_000
         keys = args.keys if args.keys is not None else 200

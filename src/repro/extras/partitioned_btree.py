@@ -345,14 +345,14 @@ class PartitionedBTree:
         per_leaf = total / nleaves
         leaves: List[BTreeLeaf] = []
         chunk: List[Tuple[bytes, int, bytes]] = []
-        chunk_size = 0
+        chunk_bytes = 0
         for record in records:
             chunk.append(record)
-            chunk_size += _record_size(record[0], record[2])
-            if chunk_size >= per_leaf and len(leaves) < nleaves - 1:
+            chunk_bytes += _record_size(record[0], record[2])
+            if chunk_bytes >= per_leaf and len(leaves) < nleaves - 1:
                 leaves.append(BTreeLeaf(chunk))
                 chunk = []
-                chunk_size = 0
+                chunk_bytes = 0
         if chunk:
             leaves.append(BTreeLeaf(chunk))
         return leaves

@@ -161,7 +161,7 @@ def _apply_to_model(model: Dict[bytes, bytes], op: Operation) -> None:
             model[key] = value
 
 
-def _execute(store: Union[DB, ShardedDB], op: Operation):
+def _apply_op(store: Union[DB, ShardedDB], op: Operation):
     kind = op[0]
     if kind == "put":
         store.put(op[1], op[2])
@@ -366,7 +366,7 @@ def run_reference(
     plans: List[Optional[FaultPlan]] = [FaultPlan() for _ in range(max(1, shards))]
     store = _build_store(policy_factory, config, seed, shards, plans, flash)
     for op in operations:
-        _execute(store, op)
+        _apply_op(store, op)
     engines = store.shards if isinstance(store, ShardedDB) else [store]
     return ReferenceRun(
         shard_ios=[device.io_count for device in _devices(store)],
@@ -407,7 +407,7 @@ def run_crash_point(
     pending_index = 0
     for index, op in enumerate(operations):
         try:
-            observed = _execute(store, op)
+            observed = _apply_op(store, op)
         except SimulatedCrash as crash:
             result.fired = True
             result.crashed_at_op = index
@@ -444,7 +444,7 @@ def run_crash_point(
     # acknowledged) and finish the workload, then require exact equality.
     for op in operations[pending_index:]:
         try:
-            _execute(store, op)
+            _apply_op(store, op)
         except ReproError as exc:
             result.errors.append(f"post-recovery {op[0]} failed: {exc}")
             return result
@@ -618,7 +618,7 @@ def run_corruption_test(
 
     probe = _build_store(policy_factory, config, seed, 1, [FaultPlan()])
     for op in operations:
-        _execute(probe, op)
+        _apply_op(probe, op)
     total_reads = probe.device.read_count
     if total_reads == 0:
         raise ReproError("workload performed no reads; cannot seed corruption")
@@ -640,7 +640,7 @@ def run_corruption_test(
     detected = 0
     for op in operations:
         try:
-            _execute(store, op)
+            _apply_op(store, op)
         except CorruptionError:
             detected += 1
     delivered = int(store.registry.counter("faults.corrupted_blocks"))

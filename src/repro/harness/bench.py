@@ -33,10 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .runner import run_workload
-from ..core.ldc import LDCPolicy
 from ..errors import UnknownBenchmarkError
 from ..lsm.bloom import BloomFilter
-from ..lsm.compaction.leveled import LeveledCompaction
 from ..lsm.config import LSMConfig
 from ..lsm.iterators import merge_records
 from ..lsm.memtable import MemTable
@@ -170,7 +168,7 @@ def bench_fillrandom(quick: bool = False) -> BenchResult:
     keys = max(500, ops // 3)
     spec = _macro_spec("WO", ops, keys)
     start = time.perf_counter()
-    result = run_workload(spec, LeveledCompaction, config=LSMConfig())
+    result = run_workload(spec, "udc", config=LSMConfig())
     wall = time.perf_counter() - start
     return BenchResult(
         "fillrandom",
@@ -197,7 +195,7 @@ def bench_readrandom(quick: bool = False) -> BenchResult:
     spec = _macro_spec("RO", ops, keys, preload_keys=keys)
     start = time.perf_counter()
     result = run_workload(
-        spec, LeveledCompaction, config=LSMConfig(block_cache_bytes=256 * 1024)
+        spec, "udc", config=LSMConfig(block_cache_bytes=256 * 1024)
     )
     wall = time.perf_counter() - start
     hits = result.metrics.get("cache.hits") if result.metrics else 0
@@ -224,10 +222,10 @@ def bench_udc_vs_ldc(quick: bool = False) -> BenchResult:
     keys = max(500, ops // 3)
     spec = _macro_spec("RWB", ops, keys)
     start = time.perf_counter()
-    udc = run_workload(spec, LeveledCompaction, config=LSMConfig())
+    udc = run_workload(spec, "udc", config=LSMConfig())
     udc_wall = time.perf_counter() - start
     mid = time.perf_counter()
-    ldc = run_workload(spec, LDCPolicy, config=LSMConfig())
+    ldc = run_workload(spec, "ldc", config=LSMConfig())
     ldc_wall = time.perf_counter() - mid
     wall = udc_wall + ldc_wall
     return BenchResult(
@@ -258,10 +256,10 @@ def bench_sched_interference(quick: bool = False) -> BenchResult:
     spec = _macro_spec("RWB", ops, keys)
     config = LSMConfig(bg_threads=1)
     start = time.perf_counter()
-    udc = run_workload(spec, LeveledCompaction, config=config)
+    udc = run_workload(spec, "udc", config=config)
     udc_wall = time.perf_counter() - start
     mid = time.perf_counter()
-    ldc = run_workload(spec, LDCPolicy, config=config)
+    ldc = run_workload(spec, "ldc", config=config)
     ldc_wall = time.perf_counter() - mid
 
     def spread(result) -> float:
@@ -300,11 +298,11 @@ def _sharded_pair_wall(
     read_spec = _macro_spec("RO", ops, keys, preload_keys=keys)
     start = time.perf_counter()
     fill = run_sharded_workload(
-        fill_spec, LeveledCompaction, num_shards, workers=workers,
+        fill_spec, "udc", num_shards, workers=workers,
         config=LSMConfig(),
     )
     read = run_sharded_workload(
-        read_spec, LeveledCompaction, num_shards, workers=workers,
+        read_spec, "udc", num_shards, workers=workers,
         config=LSMConfig(),
     )
     wall = time.perf_counter() - start
@@ -329,7 +327,7 @@ def bench_sharded_fillrandom(quick: bool = False) -> BenchResult:
     spec = _macro_spec("WO", ops, keys)
     start = time.perf_counter()
     report = run_sharded_workload(
-        spec, LeveledCompaction, num_shards=4, workers=1, config=LSMConfig()
+        spec, "udc", num_shards=4, workers=1, config=LSMConfig()
     )
     wall = time.perf_counter() - start
     balance = min(report.shard_operations) / max(1, max(report.shard_operations))
@@ -411,10 +409,10 @@ def bench_serve_tail(quick: bool = False) -> BenchResult:
         seed=7,
     )
     start = time.perf_counter()
-    udc = serve_workload(spec, LeveledCompaction, serve_spec, config=config)
+    udc = serve_workload(spec, "udc", serve_spec, config=config)
     udc_wall = time.perf_counter() - start
     mid = time.perf_counter()
-    ldc = serve_workload(spec, LDCPolicy, serve_spec, config=config)
+    ldc = serve_workload(spec, "ldc", serve_spec, config=config)
     ldc_wall = time.perf_counter() - mid
     return BenchResult(
         "serve_tail",
@@ -463,7 +461,7 @@ def bench_paper_scale(quick: bool = False) -> BenchResult:
     start = time.perf_counter()
     fill = run_workload(
         fill_spec,
-        LeveledCompaction,
+        "udc",
         config=LSMConfig(),
         sample_stride=stride,
         max_latency_samples=cap,
@@ -473,7 +471,7 @@ def bench_paper_scale(quick: bool = False) -> BenchResult:
     mid = time.perf_counter()
     read = run_workload(
         read_spec,
-        LeveledCompaction,
+        "udc",
         config=LSMConfig(),
         sample_stride=stride,
         max_latency_samples=cap,

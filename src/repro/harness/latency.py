@@ -16,7 +16,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -212,6 +212,14 @@ class LatencyRecorder:
         return self._values
 
 
+def merge_recorders(recorders: Iterable[LatencyRecorder]) -> LatencyRecorder:
+    """One recorder holding every sample of ``recorders``, in order."""
+    merged = LatencyRecorder()
+    for recorder in recorders:
+        merged.merge_from(recorder)
+    return merged
+
+
 @dataclass
 class TimelinePoint:
     """Average latency within one virtual-time bucket (Fig. 1 series).
@@ -303,3 +311,13 @@ class LatencyTimeline:
         if smallest <= 0:
             return float("inf")
         return max(means) / smallest
+
+
+def merge_timelines(
+    timelines: Iterable[LatencyTimeline], bucket_us: float
+) -> LatencyTimeline:
+    """Bucket-wise fold of ``timelines`` (see :meth:`LatencyTimeline.merge`)."""
+    merged = LatencyTimeline(bucket_us=bucket_us)
+    for timeline in timelines:
+        merged.merge(timeline)
+    return merged

@@ -59,9 +59,14 @@ class QueueStats:
     completed: int = 0
 
     def check_conservation(self, depth: int) -> None:
-        """Raise ``AssertionError`` unless the ledger balances."""
-        assert self.arrived == self.admitted + self.rejected, self
-        assert self.admitted == self.completed + depth, (self, depth)
+        """Raise ``AssertionError`` unless the ledger balances.
+
+        An explicit raise, not ``assert``, so ``python -O`` keeps it.
+        """
+        if self.arrived != self.admitted + self.rejected:
+            raise AssertionError(self)
+        if self.admitted != self.completed + depth:
+            raise AssertionError((self, depth))
 
 
 class RequestQueue:

@@ -31,11 +31,15 @@ from typing import Dict, List, Optional, Tuple, Union
 from .db import PolicyFactory, split_by_shard
 from .partition import Partitioner, make_partitioner
 from ..errors import ConfigError
-from ..harness.latency import LatencyRecorder, LatencyTimeline
-from ..harness.runner import RunResult, execute_operations, _merge_recorders
+from ..harness.latency import (
+    LatencyRecorder,
+    LatencyTimeline,
+    merge_recorders,
+    merge_timelines,
+)
+from ..harness.runner import RunResult, execute_operations, prepared_db
 from ..lsm.compaction.spec import resolve_factory
 from ..lsm.config import LSMConfig
-from ..lsm.db import DB
 from ..obs.aggregate import aggregate_snapshots, combined_view
 from ..obs.snapshot import MetricsSnapshot
 from ..ssd.flash import DeviceConfig
@@ -73,16 +77,13 @@ def _run_shard_task(task: ShardTask) -> RunResult:
     :func:`~repro.harness.runner.execute_operations` loop, so one shard
     of a sharded run is measured exactly like a standalone store.
     """
-    db = DB(
-        config=task.config if task.config is not None else LSMConfig(),
-        policy=task.factory(),
+    db = prepared_db(
+        task.factory,
+        task.preload,
+        config=task.config,
         profile=task.profile,
         seed=task.seed,
     )
-    for operation in task.preload:
-        db.put(operation.key, operation.value)
-    db.policy.maybe_compact()
-    db.reset_measurements()
     return execute_operations(
         db,
         task.operations,
@@ -279,9 +280,6 @@ def merge_shard_results(
         raise ConfigError("cannot merge zero shard results")
     snapshots = [result.metrics for result in results]
     assert all(snapshot is not None for snapshot in snapshots)
-    timeline = LatencyTimeline(bucket_us=timeline_bucket_us)
-    for result in results:
-        timeline.merge(result.timeline)
     return ShardedRunReport(
         workload=workload,
         policy=results[0].policy,
@@ -294,9 +292,11 @@ def merge_shard_results(
         shard_results=results,
         metrics=aggregate_snapshots(snapshots),
         combined_metrics=combined_view(snapshots),
-        latencies=_merge_recorders(*(r.latencies for r in results)),
-        write_latencies=_merge_recorders(*(r.write_latencies for r in results)),
-        read_latencies=_merge_recorders(*(r.read_latencies for r in results)),
-        scan_latencies=_merge_recorders(*(r.scan_latencies for r in results)),
-        timeline=timeline,
+        latencies=merge_recorders(r.latencies for r in results),
+        write_latencies=merge_recorders(r.write_latencies for r in results),
+        read_latencies=merge_recorders(r.read_latencies for r in results),
+        scan_latencies=merge_recorders(r.scan_latencies for r in results),
+        timeline=merge_timelines(
+            (r.timeline for r in results), timeline_bucket_us
+        ),
     )

@@ -8,6 +8,7 @@ flip the exit code, not just print a number.
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -259,3 +260,14 @@ class TestBenchExtras:
         monkeypatch.setenv("REPRO_PAPER_SCALE_OPS", "500")
         result = bench_paper_scale()
         assert result.ops == 1_000  # fill + read phases
+
+    def test_udc_vs_ldc_builds_no_deprecated_policy_class(self) -> None:
+        # Benchmarks build policies from the registry; a deprecated shim
+        # constructor would warn on every run.
+        from repro.harness.bench import bench_udc_vs_ldc
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = bench_udc_vs_ldc(quick=True)
+        assert result.extra["udc_sim_throughput_ops_s"] > 0
+        assert result.extra["ldc_sim_throughput_ops_s"] > 0

@@ -235,3 +235,68 @@ class TestServeCLI:
         assert "fig01_open_loop" in out
         assert "UDC knee" in out
         assert "open-loop claim" in out
+
+
+class TestErrorExits:
+    """Bad input exits 2 with one line; faults in the program propagate."""
+
+    def test_negative_ops_exits_two(self, capsys):
+        assert main(["run", "RWB", "--ops", "-5"]) == 2
+        assert "num_operations must be positive" in capsys.readouterr().err
+
+    def test_crashtest_zero_stride_exits_two(self, capsys):
+        assert main(["crashtest", "--every", "0", "--ops", "100"]) == 2
+        assert "stride must be positive" in capsys.readouterr().err
+
+    def test_serve_bad_queue_depth_exits_two(self, capsys):
+        assert main(["serve", "RWB", "--queue-depth", "0", "--ops", "100"]) == 2
+        assert "queue capacity" in capsys.readouterr().err
+
+    def test_report_out_missing_parent_fails_before_running(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "missing" / "report.md"
+        assert main(
+            ["explore", "--mixes", "RWB", "--ops", "300", "--keys", "100",
+             "--report-out", str(target)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "--report-out" in captured.err
+        assert "does not exist" in captured.err
+        assert captured.out == ""
+
+    def test_trace_out_missing_parent_fails_before_running(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "missing" / "trace.jsonl"
+        assert main(
+            ["trace", "WO", "--ops", "300", "--keys", "100",
+             "--trace-out", str(target)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "--trace-out" in captured.err
+        assert captured.out == ""
+
+    def test_serve_internal_fault_is_not_reported_as_bad_input(
+        self, monkeypatch
+    ):
+        from repro.serve.queue import QueueStats
+
+        def broken(self, depth):
+            raise AssertionError("ledger out of balance")
+
+        monkeypatch.setattr(QueueStats, "check_conservation", broken)
+        with pytest.raises(AssertionError, match="ledger out of balance"):
+            main(["serve", "RWB", "--ops", "300", "--keys", "100"])
+
+    def test_run_internal_fault_is_not_reported_as_bad_input(
+        self, monkeypatch
+    ):
+        from repro.shard import runner
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant failed")
+
+        monkeypatch.setattr(runner, "run_sharded_workload", broken)
+        with pytest.raises(RuntimeError, match="invariant failed"):
+            main(["run", "RWB", "--ops", "300", "--keys", "100"])

@@ -242,7 +242,7 @@ class TestFlashCrashtest:
             tracer=tracer,
         )
         for op in ops:
-            crashtest._execute(db, op)
+            crashtest._apply_op(db, op)
         order = []
         pending_gc = []
         for event in ring.events_of("device_read", "device_write"):

@@ -73,7 +73,7 @@ class TestPolicyEquivalenceProperty:
         for factory in (LeveledCompaction, LDCPolicy):
             store = DB(config=tiny(), policy=factory())
             for op in ops:
-                crashtest._execute(store, op)
+                crashtest._apply_op(store, op)
             store.crash_and_recover()
             store.check_invariants()
             states.append(dict(store.logical_items()))
@@ -94,7 +94,7 @@ class TestTransientProperty:
         store = DB(config=tiny(), policy=LeveledCompaction(), fault_plan=plan)
         model = {}
         for op in ops:
-            crashtest._execute(store, op)
+            crashtest._apply_op(store, op)
             crashtest._apply_to_model(model, op)
         store.check_invariants()
         assert dict(store.logical_items()) == model
@@ -108,7 +108,7 @@ class TestTransientProperty:
         fired = False
         try:
             for op in ops:
-                crashtest._execute(store, op)
+                crashtest._apply_op(store, op)
         except PersistentIOError:
             fired = True
         # Fires iff the run reaches the armed I/O index; either way the
@@ -128,7 +128,7 @@ class TestCorruptionProperty:
         detected = 0
         for op in ops:
             try:
-                crashtest._execute(store, op)
+                crashtest._apply_op(store, op)
             except CorruptionError:
                 detected += 1
         delivered = int(store.registry.counter("faults.corrupted_blocks"))

@@ -29,7 +29,6 @@ import json
 import pytest
 
 from repro.harness import experiments
-from repro.harness.runner import run_workload as runner_run_workload
 from repro.lsm import bloom
 from repro.lsm.bloom import BloomFilter, _base_hashes
 from repro.lsm.db import DB, WriteBatch
@@ -390,29 +389,6 @@ class TestBatchedGolden:
         assert got == expected
         assert batched.registry.counters() == loop.registry.counters()
         assert batched.clock.now() == loop.clock.now()
-
-
-class TestChunkedDispatchDifferential:
-    """Chunked runner dispatch must equal per-op dispatch exactly."""
-
-    @pytest.mark.parametrize("policy_name", ["UDC", "LDC"])
-    def test_chunked_equals_per_op(self, policy_name):
-        spec = workloads.rwb(num_operations=1500, key_space=700)
-        config = experiments.experiment_config()
-        chunked = runner_run_workload(spec, _POLICIES[policy_name], config=config)
-        per_op = runner_run_workload(
-            spec, _POLICIES[policy_name], config=config, chunk_size=1
-        )
-        assert _snapshot(chunked) == _snapshot(per_op)
-        assert list(chunked.latencies.values) == list(per_op.latencies.values)
-        assert list(chunked.read_latencies.values) == list(
-            per_op.read_latencies.values
-        )
-        assert list(chunked.write_latencies.values) == list(
-            per_op.write_latencies.values
-        )
-        assert chunked.timeline.points() == per_op.timeline.points()
-        assert chunked.metrics.counters == per_op.metrics.counters
 
 
 def _regen() -> None:  # pragma: no cover - maintenance helper

@@ -7,6 +7,10 @@ wait/service decomposition, per-tenant SLO accounting and namespaced
 metrics, and the sharded serve report.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -229,6 +233,26 @@ class TestRequestQueue:
         assert queue.stats.rejected == 2
         assert queue.stats.completed == 1
         queue.stats.check_conservation(queue.depth)
+
+    def test_unbalanced_ledger_raises_even_under_optimize(self):
+        # The ledger guards the serve loop; ``python -O`` must not strip it.
+        code = (
+            "from repro.serve.queue import QueueStats\n"
+            "for depth, stats in ((0, QueueStats(arrived=2, admitted=1)),\n"
+            "                     (0, QueueStats(arrived=1, admitted=1))):\n"
+            "    try:\n"
+            "        stats.check_conservation(depth)\n"
+            "    except AssertionError:\n"
+            "        continue\n"
+            "    raise SystemExit('ledger check did not raise')\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
     def test_pop_empty_raises(self):
         with pytest.raises(ConfigError):
